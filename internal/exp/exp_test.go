@@ -1,8 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -222,6 +227,71 @@ func TestShapeMultiProcessor(t *testing.T) {
 			t.Errorf("%s should save energy at 4P, got %.1f%%", v, 100*s4(v))
 		}
 	}
+}
+
+// TestDefaultSuitesMatchBench3 pins the paper suite at the default scale
+// to the committed BENCH_3.json: every field the golden records, on every
+// suite average and (procs, app, version) row, must match bit for bit.
+// Values are compared as JSON number text, which for float64 is the
+// shortest string that round-trips, so equal text means equal bits.
+func TestDefaultSuitesMatchBench3(t *testing.T) {
+	one, four := defaultSuites(t)
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteJSON(&got, one, four); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(b []byte) any {
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.UseNumber()
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if err := matchRecorded("BENCH_3", decode(raw), decode(got.Bytes())); err != nil {
+		t.Error(err)
+	}
+}
+
+// matchRecorded reports the first place where got differs from want on a
+// field want records; fields only got has are ignored.
+func matchRecorded(path string, want, got any) error {
+	switch w := want.(type) {
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok {
+			return fmt.Errorf("%s: got %v, want an object", path, got)
+		}
+		for k, wv := range w {
+			gv, ok := g[k]
+			if !ok {
+				return fmt.Errorf("%s.%s: missing", path, k)
+			}
+			if err := matchRecorded(path+"."+k, wv, gv); err != nil {
+				return err
+			}
+		}
+	case []any:
+		g, ok := got.([]any)
+		if !ok || len(g) != len(w) {
+			return fmt.Errorf("%s: got %v, want %d elements", path, got, len(w))
+		}
+		for i := range w {
+			if err := matchRecorded(fmt.Sprintf("%s[%d]", path, i), w[i], g[i]); err != nil {
+				return err
+			}
+		}
+	default:
+		if got != want {
+			return fmt.Errorf("%s: got %v, want %v", path, got, want)
+		}
+	}
+	return nil
 }
 
 // TestParallelDeterminism is the determinism regression test for the

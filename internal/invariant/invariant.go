@@ -18,8 +18,8 @@
 //  5. Determinism — every stage is bit-identical at Jobs=1 and Jobs=N.
 //  6. Engine parity — the stride-compiled execution engine and the
 //     tree-walk oracle produce bit-identical iteration spaces, dependence
-//     graphs, disk attributions, schedules, and request traces, at Jobs=1
-//     and Jobs=N (CheckEngineParity).
+//     graphs, disk attributions, schedules, and request traces (one and
+//     2-4 processors), at Jobs=1 and Jobs=N (CheckEngineParity).
 //  7. Streaming parity — replaying the trace through the out-of-core path
 //     (binary encode → chunked decode → sim.RunStream) produces the same
 //     Result, interval stream, and telemetry as the in-memory replay, bit
@@ -46,6 +46,7 @@ import (
 	"diskreuse/internal/interp"
 	"diskreuse/internal/layout"
 	"diskreuse/internal/obs"
+	"diskreuse/internal/par"
 	"diskreuse/internal/parser"
 	"diskreuse/internal/sema"
 	"diskreuse/internal/sim"
@@ -317,7 +318,8 @@ func Check(src string, opt Options) (*Report, error) {
 // CheckEngineParity parses src and asserts the engine-parity family alone:
 // the stride-compiled engine and the tree-walk oracle produce bit-identical
 // iteration spaces, dependence graphs, disk attributions, disk-reuse
-// schedules, and generated request traces, at Jobs=1 and Jobs=jobs (values
+// schedules, and generated request traces (single- and multiprocessor),
+// at Jobs=1 and Jobs=jobs (values
 // < 1 select 8). It is the cheap core of family 6, exposed separately so
 // the FuzzEngineParity target can hammer it without paying for the
 // simulator legs of Check.
@@ -361,7 +363,9 @@ func sameSpace(a, b *interp.Space) bool {
 // Jobs=1 and Jobs=jobs and requires bit-identical outputs at every stage:
 // Space (iteration arenas and NestFirst), DepGraph, per-iteration disk
 // attribution, the Fig. 3 schedule, and the program-order and restructured
-// request traces under both coalescing models.
+// request traces under both coalescing models, plus the request traces of
+// 2-, 3- and 4-processor loop-parallelized executions (one barrier phase
+// per nest).
 func checkEngineParity(prog *sema.Program, lay *layout.Layout, computePerIter float64, jobs int) error {
 	ctx := context.Background()
 	for _, j := range []int{1, jobs} {
@@ -414,6 +418,26 @@ func checkEngineParity(prog *sema.Program, lay *layout.Layout, computePerIter fl
 				}
 				if !reflect.DeepEqual(reqC, reqI) {
 					return fmt.Errorf("engine parity: %s-order trace differs between engines (coalesce=%v, jobs=%d)", name, gcfg.Coalesce, j)
+				}
+			}
+			// Multiprocessor phases: the compiled engine merges each
+			// phase's per-processor runs, the oracle stable-sorts.
+			for _, procs := range []int{2, 3, 4} {
+				a, err := par.LoopParallelize(rC, procs)
+				if err != nil {
+					return fmt.Errorf("engine parity: loop parallelization (%dP, jobs=%d): %w", procs, j, err)
+				}
+				phases := trace.NestPhases(rC.Space, a.Subsets(), len(prog.Nests))
+				reqC, err := trace.Generate(rC, phases, gcfg)
+				if err != nil {
+					return fmt.Errorf("engine parity: trace (compiled, %dP, jobs=%d): %w", procs, j, err)
+				}
+				reqI, err := trace.Generate(rI, phases, gcfg)
+				if err != nil {
+					return fmt.Errorf("engine parity: trace (interp, %dP, jobs=%d): %w", procs, j, err)
+				}
+				if !reflect.DeepEqual(reqC, reqI) {
+					return fmt.Errorf("engine parity: %dP trace differs between engines (coalesce=%v, jobs=%d)", procs, gcfg.Coalesce, j)
 				}
 			}
 		}

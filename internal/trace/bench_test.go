@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -34,23 +35,51 @@ func benchRestructurer(b testing.TB, e interp.Engine) *core.Restructurer {
 	return r
 }
 
+// nestBlockPhases splits each nest's iterations, in program order, into
+// procs contiguous blocks, one per processor, with a barrier per nest.
+func nestBlockPhases(r *core.Restructurer, procs int) []Phase {
+	perProc := make([][]int, procs)
+	for k, lo := range r.Space.NestFirst {
+		hi := r.Space.NumIterations()
+		if k+1 < len(r.Space.NestFirst) {
+			hi = r.Space.NestFirst[k+1]
+		}
+		for id := lo; id < hi; id++ {
+			p := (id - lo) * procs / (hi - lo)
+			perProc[p] = append(perProc[p], id)
+		}
+	}
+	return NestPhases(r.Space, perProc, len(r.Prog.Nests))
+}
+
 // BenchmarkGenerateTrace measures the page-coalescing trace generation
 // loop under both engines: the compiled path streams linear indices off
 // stride tables and maps pages with precomputed per-array tables; the
-// interp path is the per-access Accesses/ElemPage reference loop.
+// interp path is the per-access Accesses/ElemPage reference loop. The -4P
+// cases run four processors with a barrier per nest, so the compiled
+// path's per-phase merge and the interp path's stable sort both do work.
 func BenchmarkGenerateTrace(b *testing.B) {
 	for _, e := range []interp.Engine{interp.EngineCompiled, interp.EngineInterp} {
-		b.Run(e.String(), func(b *testing.B) {
-			r := benchRestructurer(b, e)
-			phases := SinglePhase(r.OriginalSchedule())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Generate(r, phases, GenConfig{}); err != nil {
-					b.Fatal(err)
-				}
+		for _, procs := range []int{1, 4} {
+			name := e.String()
+			if procs > 1 {
+				name = fmt.Sprintf("%s-%dP", name, procs)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				r := benchRestructurer(b, e)
+				phases := SinglePhase(r.OriginalSchedule())
+				if procs > 1 {
+					phases = nestBlockPhases(r, procs)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Generate(r, phases, GenConfig{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"diskreuse/internal/core"
@@ -131,7 +132,17 @@ func (c *pageCache) pushFront(n *lruNode) {
 // service estimate (closed-loop generation, as when the source program
 // blocks on a read), and each finished iteration advances it by the
 // compute time. Clocks synchronize to the barrier (max of all clocks)
-// between phases. The returned requests are sorted by arrival time.
+// between phases. ComputePerIter must be finite and non-negative and
+// ServiceEstimate finite (non-positive selects the default), so no clock
+// ever runs backwards.
+//
+// The returned requests are in arrival order, equal arrivals in generation
+// order (phase, then processor, then emission) — exactly a stable sort of
+// the generated requests by arrival. The compiled engine gets there without
+// sorting: each processor's requests in a phase form one run of
+// non-decreasing arrivals and every phase starts at a barrier no earlier
+// than any arrival before it, so it stably merges each phase's runs at the
+// barrier. The interp engine stable-sorts, as the independent oracle.
 //
 // The page-coalescing loop honors the engine the space was built with: on
 // the compiled engine each iteration's linear indices come off the
@@ -139,6 +150,12 @@ func (c *pageCache) pushFront(n *lruNode) {
 // the interp engine the original per-access Accesses/ElemPage loop runs as
 // the reference oracle. Both produce bit-identical request traces.
 func Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, error) {
+	if math.IsNaN(cfg.ComputePerIter) || math.IsInf(cfg.ComputePerIter, 0) || cfg.ComputePerIter < 0 {
+		return nil, fmt.Errorf("trace: ComputePerIter %v must be finite and non-negative", cfg.ComputePerIter)
+	}
+	if math.IsNaN(cfg.ServiceEstimate) || math.IsInf(cfg.ServiceEstimate, 0) {
+		return nil, fmt.Errorf("trace: ServiceEstimate %v must be finite", cfg.ServiceEstimate)
+	}
 	if cfg.CachePages <= 0 {
 		cfg.CachePages = DefaultCachePages
 	}
@@ -297,7 +314,10 @@ func generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs
 	reqs := make([]Request, 0, min(r.Space.AccessCount(), 1<<20))
 	str := r.Space.NewStreamer()
 	seen := make([]bool, r.Space.NumIterations())
+	var merger runMerger
+	runEnds := make([]int, procs)
 	for _, ph := range phases {
+		phaseStart := len(reqs)
 		for p, order := range ph.PerProc {
 			tf := touched[p]
 			if useTable && cfg.Coalesce != LRU && tf == nil {
@@ -368,7 +388,9 @@ func generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs
 				}
 				clocks[p] += cfg.ComputePerIter
 			}
+			runEnds[p] = len(reqs) - phaseStart
 		}
+		merger.merge(reqs[phaseStart:], runEnds[:len(ph.PerProc)])
 		// Barrier: everyone waits for the slowest processor.
 		maxClock := 0.0
 		for _, c := range clocks {
@@ -385,8 +407,83 @@ func generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs
 			return nil, fmt.Errorf("trace: iteration %d never executed", id)
 		}
 	}
-	SortByArrival(reqs)
 	return reqs, nil
+}
+
+// runMerger stably merges a phase's per-processor request runs into
+// arrival order in O(n log P) for n requests over P runs, reusing its
+// buffers across phases. Equal arrivals go to the lower run, then keep
+// their order within the run, which is generation order.
+type runMerger struct {
+	src  []Request // copy of the phase being merged, sized to the largest
+	heap []runHead // runs with unread requests, a min-heap on (arrival, run)
+}
+
+// runHead is one heap entry: a run and its next unread request in src.
+type runHead struct {
+	arrival float64 // arrival of src[next]
+	next    int
+	run     int
+}
+
+func (a runHead) less(b runHead) bool {
+	return a.arrival < b.arrival || (a.arrival == b.arrival && a.run < b.run)
+}
+
+// merge reorders phase, the concatenation of runs phase[ends[k-1]:ends[k]]
+// (ends[-1] = 0) whose arrivals each never decrease, into arrival order.
+// With fewer than two non-empty runs it leaves phase as it is.
+func (m *runMerger) merge(phase []Request, ends []int) {
+	h := m.heap[:0]
+	start := 0
+	for k, e := range ends {
+		if e > start {
+			h = append(h, runHead{arrival: phase[start].Arrival, next: start, run: k})
+		}
+		start = e
+	}
+	m.heap = h
+	if len(h) < 2 {
+		return
+	}
+	m.src = append(m.src[:0], phase...)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for i := range phase {
+		top := &h[0]
+		phase[i] = m.src[top.next]
+		top.next++
+		if top.next < ends[top.run] {
+			top.arrival = m.src[top.next].Arrival
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			if len(h) == 1 {
+				copy(phase[i+1:], m.src[h[0].next:ends[h[0].run]])
+				return
+			}
+		}
+		siftDown(h, 0)
+	}
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []runHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // SinglePhase wraps a single-processor schedule as one phase.

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -61,6 +63,35 @@ func TestSortedByArrival(t *testing.T) {
 }
 
 // procStreamsRef is the obvious map-append reference implementation.
+// TestSortByArrivalMatchesSliceStable pins SortByArrival to the
+// sort.SliceStable it replaced, bit for bit: heavy arrival ties, signed
+// zeros and NaN arrivals (Decode accepts "NaN") included, at lengths on
+// both sides of the stable sort's 20-element insertion-sort blocks.
+func TestSortByArrivalMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	values := []float64{1, 0, math.Copysign(0, -1), 2, -1, 1.5, math.NaN()}
+	for trial := 0; trial < 400; trial++ {
+		reqs := make([]Request, rng.Intn(200))
+		distinct := 1 + rng.Intn(len(values))
+		for i := range reqs {
+			at := float64(rng.Intn(len(reqs) + 1))
+			if trial%2 == 0 {
+				at = values[rng.Intn(distinct)]
+			}
+			reqs[i] = Request{Arrival: at, Block: int64(i)}
+		}
+		want := append([]Request(nil), reqs...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })
+		SortByArrival(reqs)
+		for i := range reqs {
+			if reqs[i].Block != want[i].Block ||
+				math.Float64bits(reqs[i].Arrival) != math.Float64bits(want[i].Arrival) {
+				t.Fatalf("trial %d: position %d holds %+v, sort.SliceStable has %+v", trial, i, reqs[i], want[i])
+			}
+		}
+	}
+}
+
 func procStreamsRef(reqs []Request) (procIDs []int, perProc [][]int) {
 	idx := map[int]int{}
 	for i, r := range reqs {

@@ -10,7 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -91,15 +91,25 @@ func Decode(r io.Reader) ([]Request, error) {
 }
 
 // SortByArrival orders requests by arrival time (stable, preserving
-// generation order for equal times).
+// generation order for equal times). The comparator is negative exactly
+// when a.Arrival < b.Arrival, so the result is bit-identical to a
+// sort.SliceStable on that less function, NaN arrivals included.
 func SortByArrival(reqs []Request) {
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	slices.SortStableFunc(reqs, func(a, b Request) int {
+		switch {
+		case a.Arrival < b.Arrival:
+			return -1
+		case a.Arrival > b.Arrival:
+			return 1
+		}
+		return 0
+	})
 }
 
 // SortedByArrival reports whether reqs is already in arrival order. The
 // simulator uses it to skip the defensive copy-and-sort on traces that come
-// straight out of Generate (which always sorts): any subsequence of a
-// sorted slice is itself sorted, with equal-arrival relative order
+// straight out of Generate (which emits arrival order): any subsequence of
+// a sorted slice is itself sorted, with equal-arrival relative order
 // preserved, so skipping the stable re-sort is exact.
 func SortedByArrival(reqs []Request) bool {
 	for i := 1; i < len(reqs); i++ {

@@ -342,6 +342,73 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(r, short, GenConfig{}); err == nil {
 		t.Error("missing iterations must fail")
 	}
+	// Clocks that could run backwards or go NaN would break the arrival
+	// order Generate promises.
+	full := SinglePhase(r.OriginalSchedule())
+	for _, cfg := range []GenConfig{
+		{ComputePerIter: -1e-3},
+		{ComputePerIter: math.NaN()},
+		{ComputePerIter: math.Inf(1)},
+		{ServiceEstimate: math.NaN()},
+		{ServiceEstimate: math.Inf(1)},
+		{ServiceEstimate: math.Inf(-1)},
+	} {
+		if _, err := Generate(r, full, cfg); err == nil {
+			t.Errorf("Generate with %+v must fail", cfg)
+		}
+	}
+}
+
+// TestRunMergerMatchesStableSort pins the compiled generator's per-phase
+// merge to the stable arrival sort it stands in for, on runs of
+// non-decreasing arrivals: empty and single runs, all-equal arrivals,
+// heavy ties across runs and a processor count far above the paper's.
+// One merger serves every case, so stale buffers from a larger phase
+// would show.
+func TestRunMergerMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ties := func() float64 { return float64(rng.Intn(2)) }
+	same := func() float64 { return 0 }
+	frac := func() float64 { return rng.Float64() }
+	manyRuns := make([]int, 100)
+	for k := range manyRuns {
+		manyRuns[k] = rng.Intn(20)
+	}
+	cases := []struct {
+		name string
+		lens []int
+		step func() float64
+	}{
+		{"large P", manyRuns, ties},
+		{"no runs", nil, ties},
+		{"all empty", []int{0, 0, 0}, ties},
+		{"one run", []int{50}, ties},
+		{"one non-empty of many", []int{0, 0, 40, 0}, ties},
+		{"all equal arrivals", []int{7, 3, 0, 9, 5}, same},
+		{"two runs", []int{30, 45}, ties},
+		{"three runs, one empty", []int{20, 0, 33}, ties},
+		{"four runs", []int{64, 64, 64, 64}, ties},
+		{"four runs, few ties", []int{64, 10, 64, 1}, frac},
+	}
+	var m runMerger
+	for _, tc := range cases {
+		var phase []Request
+		ends := make([]int, len(tc.lens))
+		for k, n := range tc.lens {
+			at := 0.0
+			for i := 0; i < n; i++ {
+				at += tc.step()
+				phase = append(phase, Request{Arrival: at, Block: int64(len(phase)), Proc: k})
+			}
+			ends[k] = len(phase)
+		}
+		want := append([]Request(nil), phase...)
+		SortByArrival(want)
+		m.merge(phase, ends)
+		if !reflect.DeepEqual(phase, want) {
+			t.Errorf("%s: merge = %v, stable sort = %v", tc.name, phase, want)
+		}
+	}
 }
 
 // The clustering effect the whole paper rests on: a restructured schedule
