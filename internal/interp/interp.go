@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"diskreuse/internal/affine"
@@ -481,7 +482,7 @@ func (s *Space) BuildDeps() *DepGraph {
 		if len(ps) == 0 {
 			continue
 		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+		slices.Sort(ps)
 		w := 0
 		for i, p := range ps {
 			if i == 0 || p != ps[i-1] {
@@ -631,7 +632,7 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 			if len(ps) == 0 {
 				continue
 			}
-			sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+			slices.Sort(ps)
 			w := 0
 			for i, p := range ps {
 				if i == 0 || p != ps[i-1] {

@@ -276,6 +276,53 @@ func TestCheckSimRunDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestCheckSimRunMixedSizesOffGrid runs the conservation checker over
+// replays the per-disk memos of service time and state power are most
+// likely to get wrong: request sizes switching among 4 KiB, 64 KiB and
+// 1 MiB, on a DRPM model whose speeds (3500 … 15500) lie off its RPMStep
+// grid. Family 4's energy reconstruction re-derives every accumulator from
+// the interval stream through power.IdlePowerAt and power.ActivePowerAt.
+func TestCheckSimRunMixedSizesOffGrid(t *testing.T) {
+	const disks = 3
+	m := disk.Ultrastar36Z15()
+	m.RPMMin, m.RPMMax = 3500, 15500
+	sizes := []int64{4 << 10, 64 << 10, 1 << 20}
+	var reqs []trace.Request
+	at := 0.0
+	for i := 0; i < 3000; i++ {
+		switch {
+		case i%97 == 0:
+			at += 25 // long enough to spin down or coast
+		case i%7 == 0:
+			at += 2
+		default:
+			at += 0.004
+		}
+		reqs = append(reqs, trace.Request{Arrival: at, Block: int64(i * 5), Size: sizes[(i*i+i/3)%3], Proc: i % 2})
+	}
+	diskOf := func(block int64) (int, error) { return int(block % disks), nil }
+	pt, err := sim.PrepareTrace(reqs, diskOf, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []sim.Policy{sim.NoPM, sim.TPM, sim.DRPM} {
+		res, ivs, _, err := runRecorded(pt, Options{Model: m}, pol, disks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pol == sim.DRPM && res.PerDisk[0].Meter.SpeedShifts == 0 {
+			t.Fatalf("DRPM fixture never shifts speed")
+		}
+		if pol == sim.TPM && res.PerDisk[0].Meter.SpinUps == 0 {
+			t.Fatalf("TPM fixture never spins down")
+		}
+		r := SimRun{Model: m, Policy: pol, NumDisks: disks, Requests: reqs, DiskOf: diskOf, Result: res, Intervals: ivs}
+		if err := CheckSimRun(r); err != nil {
+			t.Errorf("%v: %v", pol, err)
+		}
+	}
+}
+
 // TestCheckPolicyDominance exercises the bounded-dominance law directly:
 // the honest pair passes, and a policy result claiming impossible extra
 // energy fails.

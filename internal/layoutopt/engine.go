@@ -87,8 +87,8 @@ const WholeProgram = -1
 // its disk under any candidate. Distinct assignments frequently share a
 // schedule — the primary vector only sees arrays that ever come first in an
 // iteration — so the entry is keyed by the primary-relevant sub-key and
-// reused across them. The Reattributer pool hands each concurrent scorer
-// its own scratch over the shared immutable trace.
+// reused across them. The per-policy EnergyScorer pools hand each
+// concurrent score its own scorer over the shared immutable trace.
 type schedEntry struct {
 	once sync.Once
 	err  error
@@ -118,7 +118,7 @@ func (en *schedEntry) diskOf(specs Assignment) func(i int) int {
 // tables. Scoring a candidate then touches none of that machinery: the
 // primary-disk vector is re-derived with one SpecDisk per iteration, the
 // Fig. 3 scheduler reruns over the cached dependence graph (memoized by
-// primary sub-key), the abstract trace replays through sim.RunReattributed,
+// primary sub-key), the abstract trace replays through sim.EnergyScorer,
 // and the finished Score lands in an LRU keyed by canonical layout text.
 //
 // Scores are bit-for-bit identical to the full compile→restructure→simulate

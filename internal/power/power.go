@@ -90,20 +90,33 @@ func abs(x int) int {
 
 // Active charges dt seconds of servicing at rpm.
 func (e *Meter) Active(dt float64, rpm int) {
+	e.ActiveAt(dt, ActivePowerAt(e.M, rpm))
+}
+
+// ActiveAt charges dt seconds of servicing at a draw of watts, which must
+// be ActivePowerAt(e.M, rpm) for the speed serviced at: the entry point
+// for a caller that memoizes the state power across requests.
+func (e *Meter) ActiveAt(dt, watts float64) {
 	if dt <= 0 {
 		return
 	}
 	e.ActiveTime += dt
-	e.ActiveEnergy += ActivePowerAt(e.M, rpm) * dt
+	e.ActiveEnergy += watts * dt
 }
 
 // Idle charges dt seconds of request-free spinning at rpm.
 func (e *Meter) Idle(dt float64, rpm int) {
+	e.IdleAt(dt, IdlePowerAt(e.M, rpm))
+}
+
+// IdleAt charges dt seconds of request-free spinning at a draw of watts,
+// which must be IdlePowerAt(e.M, rpm) for the speed spun at.
+func (e *Meter) IdleAt(dt, watts float64) {
 	if dt <= 0 {
 		return
 	}
 	e.IdleTime += dt
-	e.IdleEnergy += IdlePowerAt(e.M, rpm) * dt
+	e.IdleEnergy += watts * dt
 }
 
 // Standby charges dt seconds spun down.

@@ -2,21 +2,24 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"diskreuse/internal/trace"
 )
 
 // PreparedTrace is the replay-ready form of a request trace against a
 // fixed block-to-disk mapping: the arrival sort, per-request disk
-// attribution, flat-backed per-disk carve, and per-processor grouping are
-// all done once by PrepareTrace, so any number of policy or parameter
-// variants can replay the same trace through RunPrepared without repeating
-// the bucketing work — bucket once, replay many. The experiment harness
-// prepares each execution's trace once and shares it read-only across all
-// of an application's version simulations.
+// attribution and flat-backed per-disk carve are all done once by
+// PrepareTrace, so any number of policy or parameter variants can replay
+// the same trace through RunPrepared without repeating the bucketing work —
+// bucket once, replay many. The experiment harness prepares each
+// execution's trace once and shares it read-only across all of an
+// application's version simulations. The per-processor grouping only the
+// closed-loop replay reads is built on its first use, once per trace.
 //
-// A PreparedTrace is immutable after PrepareTrace returns; concurrent
-// RunPrepared calls against the same value are safe.
+// A PreparedTrace is logically immutable after PrepareTrace returns (the
+// lazy grouping is built behind a sync.Once); concurrent RunPrepared calls
+// against the same value are safe.
 type PreparedTrace struct {
 	numDisks int
 	// sorted is the trace in arrival order. It aliases the caller's slice
@@ -31,11 +34,28 @@ type PreparedTrace struct {
 	// backing array sized by a counting pass. Subsequences of an
 	// arrival-ordered slice are arrival-ordered, so each is replay-ready.
 	perDisk [][]trace.Request
+	// procLo and procHi are the smallest and largest processor ids in
+	// sorted (both 0 for an empty trace), so RunPrepared can range-check an
+	// Attribution without the grouping.
+	procLo, procHi int
 	// procIDs lists processor ids in first-appearance order; procReqs[k]
 	// holds the indices into sorted of the requests procIDs[k] issued,
-	// carved from one flat backing (see trace.ProcStreams).
+	// carved from one flat backing (see trace.ProcStreams). Both are built
+	// by procStreams on first use.
+	procOnce sync.Once
 	procIDs  []int
 	procReqs [][]int
+}
+
+// procStreams returns the trace's per-processor grouping, building it on
+// the first call. Only the closed-loop replay reads it, so open-loop
+// replays never pay for it; the sync.Once makes the first use safe when
+// concurrent replays share the trace.
+func (pt *PreparedTrace) procStreams() (procIDs []int, procReqs [][]int) {
+	pt.procOnce.Do(func() {
+		pt.procIDs, pt.procReqs = trace.ProcStreams(pt.sorted)
+	})
+	return pt.procIDs, pt.procReqs
 }
 
 // NumDisks returns the disk count the trace was prepared against.
@@ -57,12 +77,11 @@ func (pt *PreparedTrace) Source() trace.Source {
 }
 
 // PrepareTrace attributes every request of reqs to its disk and buckets the
-// trace for replay: one counting pass, one flat per-disk carve, one stable
-// arrival sort (skipped when reqs is already sorted, the common case for
-// generated traces), and one per-processor grouping. diskOf maps a
-// request's block number to its disk using the striping information,
-// exactly as the paper's simulator consumes externally provided striping
-// parameters. reqs is never mutated.
+// trace for replay: one counting pass, one flat per-disk carve, and one
+// stable arrival sort (skipped when reqs is already sorted, the common case
+// for generated traces). diskOf maps a request's block number to its disk
+// using the striping information, exactly as the paper's simulator
+// consumes externally provided striping parameters. reqs is never mutated.
 func PrepareTrace(reqs []trace.Request, diskOf func(block int64) (int, error), numDisks int) (*PreparedTrace, error) {
 	if numDisks <= 0 {
 		return nil, fmt.Errorf("sim: NumDisks must be positive")
@@ -74,6 +93,10 @@ func PrepareTrace(reqs []trace.Request, diskOf func(block int64) (int, error), n
 	}
 	diskIdx := make([]int, len(sorted))
 	counts := make([]int, numDisks)
+	var procLo, procHi int
+	if len(sorted) > 0 {
+		procLo, procHi = sorted[0].Proc, sorted[0].Proc
+	}
 	for i, r := range sorted {
 		d, err := diskOf(r.Block)
 		if err != nil {
@@ -84,6 +107,7 @@ func PrepareTrace(reqs []trace.Request, diskOf func(block int64) (int, error), n
 		}
 		diskIdx[i] = d
 		counts[d]++
+		procLo, procHi = min(procLo, r.Proc), max(procHi, r.Proc)
 	}
 	backing := make([]trace.Request, len(sorted))
 	perDisk := make([][]trace.Request, numDisks)
@@ -96,13 +120,12 @@ func PrepareTrace(reqs []trace.Request, diskOf func(block int64) (int, error), n
 		d := diskIdx[i]
 		perDisk[d] = append(perDisk[d], r)
 	}
-	procIDs, procReqs := trace.ProcStreams(sorted)
 	return &PreparedTrace{
 		numDisks: numDisks,
 		sorted:   sorted,
 		diskIdx:  diskIdx,
 		perDisk:  perDisk,
-		procIDs:  procIDs,
-		procReqs: procReqs,
+		procLo:   procLo,
+		procHi:   procHi,
 	}, nil
 }

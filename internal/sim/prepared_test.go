@@ -3,8 +3,10 @@ package sim
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"diskreuse/internal/obs"
 	"diskreuse/internal/trace"
 )
 
@@ -152,10 +154,11 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 	for d := range pt.perDisk {
 		perDisk[d] = append([]trace.Request(nil), pt.perDisk[d]...)
 	}
-	procIDs := append([]int(nil), pt.procIDs...)
-	procReqs := make([][]int, len(pt.procReqs))
-	for k := range pt.procReqs {
-		procReqs[k] = append([]int(nil), pt.procReqs[k]...)
+	ptIDs, ptReqs := pt.procStreams()
+	procIDs := append([]int(nil), ptIDs...)
+	procReqs := make([][]int, len(ptReqs))
+	for k := range ptReqs {
+		procReqs[k] = append([]int(nil), ptReqs[k]...)
 	}
 
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
@@ -179,8 +182,117 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 	if !reflect.DeepEqual(pt.perDisk, perDisk) {
 		t.Error("Run mutated the prepared per-disk queues")
 	}
-	if !reflect.DeepEqual(pt.procIDs, procIDs) || !reflect.DeepEqual(pt.procReqs, procReqs) {
+	if ptIDs, ptReqs := pt.procStreams(); !reflect.DeepEqual(ptIDs, procIDs) || !reflect.DeepEqual(ptReqs, procReqs) {
 		t.Error("Run mutated the prepared processor streams")
+	}
+}
+
+// TestProcStreamsBuiltOnFirstClosedLoopUse pins the lazy processor
+// grouping: open-loop replays never build it, and the first closed-loop
+// replay builds exactly trace.ProcStreams of the arrival order.
+func TestProcStreamsBuiltOnFirstClosedLoopUse(t *testing.T) {
+	const disks = 4
+	pt, err := PrepareTrace(randomTrace(3, 500, disks, 5), modDisk(disks), disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{NoPM, TPM, DRPM} {
+		if _, err := RunPrepared(pt, cfg(pol, disks)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pt.procIDs != nil || pt.procReqs != nil {
+		t.Fatal("an open-loop replay built the processor grouping")
+	}
+	c := cfg(TPM, disks)
+	c.ClosedLoop = true
+	if _, err := RunPrepared(pt, c); err != nil {
+		t.Fatal(err)
+	}
+	wantIDs, wantReqs := trace.ProcStreams(pt.sorted)
+	if !reflect.DeepEqual(pt.procIDs, wantIDs) || !reflect.DeepEqual(pt.procReqs, wantReqs) {
+		t.Errorf("lazy grouping %v %v, want %v %v", pt.procIDs, pt.procReqs, wantIDs, wantReqs)
+	}
+}
+
+// TestConcurrentClosedLoopFirstUse races the lazy grouping's first build:
+// many goroutines start closed-loop replays of one fresh PreparedTrace at
+// once (go test -race checks the sync.Once), and every result must equal a
+// serial replay of a separately prepared copy.
+func TestConcurrentClosedLoopFirstUse(t *testing.T) {
+	const disks, workers = 4, 8
+	reqs := randomTrace(21, 800, disks, 6)
+	c := cfg(DRPM, disks)
+	c.ClosedLoop = true
+	want, err := Run(reqs, modDisk(disks), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := PrepareTrace(reqs, modDisk(disks), disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	results := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			results[w], errs[w] = RunPrepared(pt, c)
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w := range results {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		if !reflect.DeepEqual(results[w], want) {
+			t.Errorf("worker %d: concurrent closed-loop replay differs from the serial one", w)
+		}
+	}
+}
+
+// TestAttributionProcRangeWithoutGrouping pins that RunPrepared still
+// rejects a processor id outside an Attribution's range on an open-loop
+// replay, which never builds the processor grouping — from the ids' range
+// taken while preparing.
+func TestAttributionProcRangeWithoutGrouping(t *testing.T) {
+	const disks = 2
+	for _, tc := range []struct {
+		name  string
+		procs []int
+		ok    bool
+	}{
+		{"in-range", []int{0, 2, 1}, true},
+		{"above", []int{0, 3, 1}, false},
+		{"negative", []int{1, -1, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var reqs []trace.Request
+			for i, p := range tc.procs {
+				reqs = append(reqs, trace.Request{Arrival: float64(i), Block: int64(i), Size: 4096, Proc: p})
+			}
+			pt, err := PrepareTrace(reqs, modDisk(disks), disks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cfg(TPM, disks)
+			c.Attribution = obs.NewProcAttribution(disks, 3)
+			_, err = RunPrepared(pt, c)
+			if tc.ok && err != nil {
+				t.Fatalf("in-range processors rejected: %v", err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "processor id")) {
+				t.Fatalf("out-of-range processor accepted (err %v)", err)
+			}
+			if pt.procIDs != nil {
+				t.Error("the range check built the processor grouping")
+			}
+		})
 	}
 }
 

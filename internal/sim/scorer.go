@@ -67,7 +67,7 @@ func (a *Attribution) Build(n int, diskOf func(i int) int, numDisks int) error {
 		counts[d]++
 	}
 	for d, c := range counts {
-		perDisk[d] = a.idxBack[off:off : off+c]
+		perDisk[d] = a.idxBack[off : off : off+c]
 		off += c
 	}
 	for i := 0; i < n; i++ {
@@ -153,7 +153,7 @@ func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) 
 	return s, nil
 }
 
-// newMeterFor builds the per-disk meter newStates would, including the
+// newMeterFor builds a fresh per-disk meter for cfg, including the
 // RAID-width power scaling.
 func newMeterFor(cfg Config) *power.Meter {
 	meterModel := cfg.Model

@@ -333,12 +333,12 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if attr := cfg.Attribution; attr != nil {
-		for _, p := range pt.procIDs {
-			if p < 0 || p >= attr.NumProcs() {
-				return nil, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
-					attr.NumProcs(), p)
-			}
+	if attr := cfg.Attribution; attr != nil && len(pt.sorted) > 0 {
+		if p := pt.procLo; p < 0 {
+			return nil, procRangeError(attr, p)
+		}
+		if p := pt.procHi; p >= attr.NumProcs() {
+			return nil, procRangeError(attr, p)
 		}
 	}
 
@@ -361,24 +361,23 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// procRangeError reports a processor id outside an Attribution's range.
+func procRangeError(attr *obs.ProcAttribution, proc int) error {
+	return fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
+		attr.NumProcs(), proc)
+}
+
 // newStates builds the per-disk simulators and their energy meters for one
 // run: per-disk state plus the meter model scaling for RAID-level striping
 // (Fig. 1) — each I/O node's meter accounts for all of its physical disks,
 // so power draws and transition energies scale with the width while the
 // timing model stays per physical disk.
 func newStates(cfg Config, res *Result) []*diskSim {
-	meterModel := cfg.Model
-	if w := float64(cfg.RAIDWidth); w > 1 {
-		meterModel.PowerActive *= w
-		meterModel.PowerIdle *= w
-		meterModel.PowerStandby *= w
-		meterModel.SpinDownEnergy *= w
-		meterModel.SpinUpEnergy *= w
-	}
+	meter := newMeterFor(cfg)
 	lm := newLiveMetrics(cfg.Metrics, cfg.NumDisks)
 	states := make([]*diskSim, cfg.NumDisks)
 	for d := 0; d < cfg.NumDisks; d++ {
-		res.PerDisk[d].Meter = *power.NewMeter(meterModel)
+		res.PerDisk[d].Meter = *meter
 		states[d] = newDiskSim(cfg)
 		states[d].id = d
 		states[d].lm = lm
@@ -604,15 +603,16 @@ func runOpenLoop(pt *PreparedTrace, cfg Config, states []*diskSim, res *Result) 
 // prepared grouping, with no diskOf calls or map lookups per request.
 func runClosedLoop(pt *PreparedTrace, cfg Config, states []*diskSim, res *Result) {
 	sorted := pt.sorted
+	procIDs, procReqs := pt.procStreams()
 	// Think times depend on cfg.ThinkEstimate, so they are recovered per
 	// run — into one flat backing carved per stream, reusing the prepared
 	// per-processor index lists.
-	streams := make([]procStream, len(pt.procIDs))
+	streams := make([]procStream, len(procIDs))
 	thinkBacking := make([]float64, len(sorted))
-	ringBacking := make([]float64, cfg.AsyncDepth*len(pt.procIDs))
+	ringBacking := make([]float64, cfg.AsyncDepth*len(procIDs))
 	off := 0
-	for k, p := range pt.procIDs {
-		idx := pt.procReqs[k]
+	for k, p := range procIDs {
+		idx := procReqs[k]
 		think := thinkBacking[off : off+len(idx)]
 		off += len(idx)
 		think[0] = sorted[idx[0]].Arrival
@@ -704,6 +704,11 @@ type diskSim struct {
 	// sub holds the busy-until time of each physical disk behind this I/O
 	// node (RAID-level striping); length is Config.RAIDWidth.
 	sub []float64
+
+	// Per-request memos (see memo.go): the service time at the current
+	// speed, the full-speed estimate, and the meter's state powers.
+	svc, full svcMemo
+	pow       powerMemo
 }
 
 func newDiskSim(cfg Config) *diskSim {
@@ -714,6 +719,9 @@ func newDiskSim(cfg Config) *diskSim {
 		rpm:    cfg.Model.RPMMax,
 		target: cfg.Model.RPMMax,
 		sub:    make([]float64, cfg.RAIDWidth),
+		svc:    newSvcMemo(),
+		full:   newSvcMemo(),
+		pow:    newPowerMemo(),
 	}
 }
 
@@ -767,12 +775,12 @@ func (ds *diskSim) emit(kind StateKind, from, to float64, rpm int) {
 }
 
 func (ds *diskSim) chargeIdle(st *DiskStats, from, dt float64, rpm int) {
-	st.Meter.Idle(dt, rpm)
+	st.Meter.IdleAt(dt, ds.pow.at(&st.Meter.M, rpm).idle)
 	ds.emit(StateIdle, from, from+dt, rpm)
 }
 
 func (ds *diskSim) chargeActive(st *DiskStats, from, dt float64, rpm int) {
-	st.Meter.Active(dt, rpm)
+	st.Meter.ActiveAt(dt, ds.pow.at(&st.Meter.M, rpm).active)
 	ds.emit(StateBusy, from, from+dt, rpm)
 }
 
@@ -847,7 +855,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 	// load — ramp straight to full speed (the watermark mechanism of [13])
 	// instead of waiting out the response-time window.
 	if ds.cfg.Policy == DRPM && ds.rpm < ds.m.RPMMax {
-		if loadWait > queuePressureFactor*ds.m.FullSpeedService(size) {
+		if loadWait > queuePressureFactor*ds.fullSpeedService(size) {
 			old := ds.rpm
 			ds.rpm = ds.m.RPMMax
 			ds.target = ds.m.RPMMax
@@ -858,7 +866,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 			}
 		}
 	}
-	svc := ds.m.ServiceTime(size, ds.rpm)
+	svc := ds.serviceTime(size, ds.rpm)
 	ds.chargeActive(st, dispatch, svc, ds.rpm)
 	completion = dispatch + svc // the data is ready for the processor here
 	ds.sub[k] = completion
@@ -1033,7 +1041,7 @@ func (ds *diskSim) observe(resp, loadWait float64, size int64) {
 	}
 	ds.winCount++
 	ds.winResp += resp
-	ds.winFullEst += loadWait + ds.m.FullSpeedService(size)
+	ds.winFullEst += loadWait + ds.fullSpeedService(size)
 	if ds.winCount < ds.cfg.DRPMWindow {
 		return
 	}

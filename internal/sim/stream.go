@@ -118,8 +118,7 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 					return nil, fmt.Errorf("sim: block %d maps to disk %d outside 0..%d", r.Block, d, cfg.NumDisks-1)
 				}
 				if attr != nil && (r.Proc < 0 || r.Proc >= attr.NumProcs()) {
-					return nil, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
-						attr.NumProcs(), r.Proc)
+					return nil, procRangeError(attr, r.Proc)
 				}
 				sh := &shards[d]
 				st := &res.PerDisk[d]
@@ -166,8 +165,7 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 				return nil, fmt.Errorf("sim: block %d maps to disk %d outside 0..%d", r.Block, d, cfg.NumDisks-1)
 			}
 			if attr != nil && (r.Proc < 0 || r.Proc >= attr.NumProcs()) {
-				return nil, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
-					attr.NumProcs(), r.Proc)
+				return nil, procRangeError(attr, r.Proc)
 			}
 			if len(shards[d].idx) == 0 {
 				touched = append(touched, d)
