@@ -456,7 +456,7 @@ func TestFigure4Exact(t *testing.T) {
 			succs[src] = append(succs[src], int32(dst))
 		}
 	}
-	order, disks, err := scheduleFig3(4, members, inSet, primary, preds, succs)
+	order, disks, err := scheduleFig3(4, members, inSet, 0, primary, preds, succs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"diskreuse/internal/conc"
 	"diskreuse/internal/interp"
@@ -134,7 +135,9 @@ func NewCtx(ctx context.Context, prog *sema.Program, l *layout.Layout, opt Optio
 // pure function of the layout, so chunks share it safely; each chunk
 // writes only its own slots, and errors are reported in iteration order
 // (the first chunk's error wins) so the message never depends on worker
-// scheduling.
+// scheduling. A chunk gathers its touched lists in one chunk-local backing
+// and carves them once the chunk is done, one allocation per chunk rather
+// than one per iteration.
 func (r *Restructurer) attributeDisks(ctx context.Context, jobs int) error {
 	n := r.Space.NumIterations()
 	r.primary = make([]int, n)
@@ -142,15 +145,18 @@ func (r *Restructurer) attributeDisks(ctx context.Context, jobs int) error {
 	chunks := conc.Chunks(n, conc.ChunkCount(n, jobs, 1<<10))
 	errs := make([]error, len(chunks))
 	poolErr := conc.ForEach(ctx, len(chunks), jobs, func(_ context.Context, k int) error {
+		lo, hi := chunks[k][0], chunks[k][1]
 		str := r.Space.NewStreamer()
 		var buf []interp.Access
-		for id := chunks[k][0]; id < chunks[k][1]; id++ {
+		var backing []int8
+		ends := make([]int32, hi-lo) // ends[id-lo]: end of id's list in backing
+		for id := lo; id < hi; id++ {
 			buf = str.Accesses(id, buf[:0])
 			if len(buf) == 0 {
 				errs[k] = fmt.Errorf("core: iteration %v performs no accesses", r.Space.IterAt(id))
 				return errs[k]
 			}
-			var disks []int8
+			mark := len(backing)
 			for j, a := range buf {
 				d, err := r.Layout.ElemDisk(a.Array, a.Lin)
 				if err != nil {
@@ -160,18 +166,17 @@ func (r *Restructurer) attributeDisks(ctx context.Context, jobs int) error {
 				if j == 0 {
 					r.primary[id] = d
 				}
-				found := false
-				for _, x := range disks {
-					if x == int8(d) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					disks = append(disks, int8(d))
+				if !slices.Contains(backing[mark:], int8(d)) {
+					backing = append(backing, int8(d))
 				}
 			}
-			r.touched[id] = disks
+			ends[id-lo] = int32(len(backing))
+		}
+		start := int32(0)
+		for id := lo; id < hi; id++ {
+			end := ends[id-lo]
+			r.touched[id] = backing[start:end:end]
+			start = end
 		}
 		return nil
 	})
@@ -205,12 +210,10 @@ func (r *Restructurer) OriginalSchedule() *Schedule {
 	return s
 }
 
-// idHeap is a min-heap of iteration ids (original program order), used as
-// the per-disk ready queue. It is a hand-rolled binary heap rather than a
-// container/heap adapter: the scheduler pushes one id per iteration, and
-// boxing each into an interface value dominated scheduling time. Ids are
-// unique, so min-extraction order — and hence the schedule — is identical
-// to the generic heap's.
+// idHeap is a min-heap of iteration ids (original program order), the
+// out-of-order half of readyQueue. It is a hand-rolled binary heap rather
+// than a container/heap adapter: boxing each id into an interface value
+// dominated scheduling time.
 type idHeap []int
 
 func (h *idHeap) push(id int) {
@@ -252,6 +255,41 @@ func (h *idHeap) pop() int {
 	return top
 }
 
+// readyQueue is the per-disk ready queue: it pops ids smallest first, like
+// a plain idHeap, but most pushes arrive in ascending order (the initial
+// fill walks members in program order, and a released successor usually
+// exceeds every queued id), so an id larger than every id in the FIFO run
+// is appended to the run and only the rest go to the heap. Pop returns
+// the smaller of the two heads; ids are unique, so the pop order — and
+// hence the schedule — is exactly the heap's.
+type readyQueue struct {
+	run  []int // ascending; run[head:] is queued
+	head int
+	heap idHeap
+}
+
+func (q *readyQueue) len() int { return len(q.run) - q.head + len(q.heap) }
+
+func (q *readyQueue) push(id int) {
+	if n := len(q.run); n == q.head || id > q.run[n-1] {
+		q.run = append(q.run, id)
+		return
+	}
+	q.heap.push(id)
+}
+
+func (q *readyQueue) pop() int {
+	if q.head < len(q.run) && (len(q.heap) == 0 || q.run[q.head] < q.heap[0]) {
+		id := q.run[q.head]
+		q.head++
+		if q.head == len(q.run) {
+			q.run, q.head = q.run[:0], 0
+		}
+		return id
+	}
+	return q.heap.pop()
+}
+
 // DiskReuseSchedule computes the restructured execution order of Fig. 3:
 //
 //	Q = all iterations; d = 0
@@ -269,41 +307,58 @@ func (h *idHeap) pop() int {
 // visited exactly once (perfect disk reuse); with dependences disks are
 // revisited only as the while-loop of Fig. 3 requires.
 func (r *Restructurer) DiskReuseSchedule() (*Schedule, error) {
-	return r.scheduleSubset(nil)
+	return r.ScheduleFor(nil)
 }
 
-// scheduleSubset runs the Fig. 3 scheduler over a subset of iterations
-// (nil means all). Dependence edges with both endpoints in the subset are
-// enforced; edges entering the subset from outside are assumed satisfied
-// (the caller is responsible for inter-subset ordering, e.g. barriers).
-func (r *Restructurer) scheduleSubset(subset []int) (*Schedule, error) {
-	n := r.Space.NumIterations()
-	inSubset := make([]bool, n)
-	var members []int
+// ScheduleFor runs disk-reuse scheduling over an explicit iteration subset
+// (used by the multiprocessor path to restructure each processor's assigned
+// iterations separately, §6.2). Dependence edges with both endpoints in the
+// subset are enforced; edges entering the subset from outside are assumed
+// satisfied (the caller is responsible for inter-subset ordering, e.g.
+// barriers). nil means every iteration.
+func (r *Restructurer) ScheduleFor(subset []int) (*Schedule, error) {
+	return r.ScheduleSubsetWithPrimary(r.Layout.NumDisks(), r.primary, subset)
+}
+
+// subsetSpan validates subset (nil means all n iterations) and returns its
+// members with a membership mask over the id span [base, base+len(mask))
+// they occupy, so the scheduler's scratch is sized to the subset, not to
+// the whole space. Errors name the first offending id in subset order, an
+// out-of-range id or a duplicate, whichever comes first.
+func subsetSpan(n int, subset []int) (members []int, mask []bool, base int, err error) {
 	if subset == nil {
 		members = make([]int, n)
+		mask = make([]bool, n)
 		for i := range members {
 			members[i] = i
-			inSubset[i] = true
+			mask[i] = true
 		}
-	} else {
-		members = subset
-		for _, id := range subset {
-			if id < 0 || id >= n {
-				return nil, fmt.Errorf("core: subset id %d out of range", id)
-			}
-			if inSubset[id] {
-				return nil, fmt.Errorf("core: subset id %d duplicated", id)
-			}
-			inSubset[id] = true
+		return members, mask, 0, nil
+	}
+	// The span covers the ids before the first out-of-range one; marking
+	// stops there, so a duplicate ahead of it is still reported first.
+	valid := len(subset)
+	lo, hi := n, -1
+	for i, id := range subset {
+		if id < 0 || id >= n {
+			valid = i
+			break
 		}
+		lo, hi = min(lo, id), max(hi, id)
 	}
-	order, disks, err := scheduleFig3(r.Layout.NumDisks(), members, inSubset,
-		r.primary, r.Graph.Preds, r.Graph.Succs)
-	if err != nil {
-		return nil, err
+	if hi >= lo {
+		mask = make([]bool, hi-lo+1)
 	}
-	return &Schedule{Order: order, Disk: disks, Space: r.Space}, nil
+	for _, id := range subset[:valid] {
+		if mask[id-lo] {
+			return nil, nil, 0, fmt.Errorf("core: subset id %d duplicated", id)
+		}
+		mask[id-lo] = true
+	}
+	if valid < len(subset) {
+		return nil, nil, 0, fmt.Errorf("core: subset id %d out of range", subset[valid])
+	}
+	return subset, mask, lo, nil
 }
 
 // scheduleFig3 is the algorithm of the paper's Fig. 3, generalized to an
@@ -311,22 +366,25 @@ func (r *Restructurer) scheduleSubset(subset []int) (*Schedule, error) {
 // iteration whose primary disk is the current one (in original program
 // order, admitting iterations that become ready during the same visit),
 // then move to the next disk, cycling until all iterations are scheduled.
-// Edges with an endpoint outside the member set are ignored.
-func scheduleFig3(numDisks int, members []int, inSet []bool,
+// mask[id-base] marks the member set; edges with an endpoint outside it —
+// including any id outside the span, caught by one unsigned compare — are
+// ignored.
+func scheduleFig3(numDisks int, members []int, mask []bool, base int,
 	primary []int, preds, succs [][]int32) (order, disks []int, err error) {
 
-	indeg := make([]int, len(inSet))
+	span := uint(len(mask))
+	indeg := make([]int32, len(mask))
 	for _, id := range members {
 		for _, p := range preds[id] {
-			if inSet[p] {
-				indeg[id]++
+			if j := int(p) - base; uint(j) < span && mask[j] {
+				indeg[id-base]++
 			}
 		}
 	}
-	queues := make([]idHeap, numDisks)
+	queues := make([]readyQueue, numDisks)
 	pending := 0
 	for _, id := range members {
-		if indeg[id] == 0 {
+		if indeg[id-base] == 0 {
 			queues[primary[id]].push(id)
 		}
 		pending++
@@ -337,7 +395,7 @@ func scheduleFig3(numDisks int, members []int, inSet []bool,
 	d := 0
 	idleRounds := 0
 	for pending > 0 {
-		if len(queues[d]) == 0 {
+		if queues[d].len() == 0 {
 			d = (d + 1) % numDisks
 			idleRounds++
 			if idleRounds > numDisks {
@@ -349,17 +407,18 @@ func scheduleFig3(numDisks int, members []int, inSet []bool,
 			continue
 		}
 		idleRounds = 0
-		for len(queues[d]) > 0 {
+		for queues[d].len() > 0 {
 			id := queues[d].pop()
 			order = append(order, id)
 			disks = append(disks, d)
 			pending--
 			for _, v := range succs[id] {
-				if !inSet[v] {
+				j := int(v) - base
+				if uint(j) >= span || !mask[j] {
 					continue
 				}
-				indeg[v]--
-				if indeg[v] == 0 {
+				indeg[j]--
+				if indeg[j] == 0 {
 					queues[primary[v]].push(int(v))
 				}
 			}
@@ -367,13 +426,6 @@ func scheduleFig3(numDisks int, members []int, inSet []bool,
 		d = (d + 1) % numDisks
 	}
 	return order, disks, nil
-}
-
-// ScheduleFor runs disk-reuse scheduling over an explicit iteration subset
-// (used by the multiprocessor path to restructure each processor's assigned
-// iterations separately, §6.2).
-func (r *Restructurer) ScheduleFor(subset []int) (*Schedule, error) {
-	return r.scheduleSubset(subset)
 }
 
 // ScheduleWithPrimary runs the Fig. 3 scheduler over the whole iteration
@@ -402,32 +454,16 @@ func (r *Restructurer) ScheduleSubsetWithPrimary(numDisks int, primary []int, su
 	if len(primary) != n {
 		return nil, fmt.Errorf("core: primary vector has %d entries for %d iterations", len(primary), n)
 	}
-	inSubset := make([]bool, n)
-	var members []int
-	if subset == nil {
-		members = make([]int, n)
-		for i := range members {
-			members[i] = i
-			inSubset[i] = true
-		}
-	} else {
-		members = subset
-		for _, id := range subset {
-			if id < 0 || id >= n {
-				return nil, fmt.Errorf("core: subset id %d out of range", id)
-			}
-			if inSubset[id] {
-				return nil, fmt.Errorf("core: subset id %d duplicated", id)
-			}
-			inSubset[id] = true
-		}
+	members, mask, base, err := subsetSpan(n, subset)
+	if err != nil {
+		return nil, err
 	}
 	for _, id := range members {
 		if d := primary[id]; d < 0 || d >= numDisks {
 			return nil, fmt.Errorf("core: primary disk %d of iteration %d outside 0..%d", d, id, numDisks-1)
 		}
 	}
-	order, disks, err := scheduleFig3(numDisks, members, inSubset,
+	order, disks, err := scheduleFig3(numDisks, members, mask, base,
 		primary, r.Graph.Preds, r.Graph.Succs)
 	if err != nil {
 		return nil, err

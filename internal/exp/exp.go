@@ -294,12 +294,8 @@ func prepare(r *core.Restructurer, procs int) (orig, restrS, restrM *execution, 
 		runs := 0
 		for p, sub := range a.Subsets() {
 			// Split the processor's iterations by nest (barrier phases).
-			byNest := make([][]int, numNests)
-			for _, id := range sub {
-				k := r.Space.Nest(id)
-				byNest[k] = append(byNest[k], id)
-			}
-			for _, group := range byNest {
+			for _, ph := range trace.NestPhases(r.Space, [][]int{sub}, numNests) {
+				group := ph.PerProc[0]
 				if len(group) == 0 {
 					continue
 				}

@@ -408,9 +408,11 @@ func chunkCount(n, jobs int) int {
 
 // DepGraph is the exact iteration-level dependence DAG. Preds[u] lists the
 // global iteration ids that must execute before iteration u; Succs is the
-// inverse. Both lists are sorted and duplicate-free. Edges always point
-// from an earlier program-order iteration to a later one, so the graph is
-// acyclic by construction.
+// inverse. Both lists are sorted and duplicate-free; an empty list is nil,
+// and every list is carved with cap == len, so appending to one copies it
+// rather than overwriting a neighbour. Edges always point from an earlier
+// program-order iteration to a later one, so the graph is acyclic by
+// construction.
 type DepGraph struct {
 	Preds [][]int32
 	Succs [][]int32
@@ -420,83 +422,179 @@ type DepGraph struct {
 // NumEdges returns the number of dependence edges.
 func (g *DepGraph) NumEdges() int { return g.edges }
 
-// elemState tracks the access history of one array element during replay.
+// elemState tracks the access history of one array element during replay:
+// its last writer and the readers since that write, a list threaded
+// through readerLists. Eight bytes per element, no per-element slice.
 type elemState struct {
-	lastWriter int32
-	readers    []int32 // readers since the last write
+	lastWriter int32 // -1 before the first write
+	readers    int32 // head of the reader list in readerLists, -1 when empty
 }
 
+func newElemStates(a *sema.Array) []elemState {
+	st := make([]elemState, a.Elems())
+	for i := range st {
+		st[i] = elemState{lastWriter: -1, readers: -1}
+	}
+	return st
+}
+
+// readerNode is one reader in an element's list, most recent first.
+type readerNode struct{ u, next int32 }
+
+// readerLists holds the reader lists of one replay's elements. A write
+// hands its element's nodes to the free list, so nodes grow only to the
+// largest number of readers pending at once, not to the number of reads.
+type readerLists struct {
+	nodes []readerNode
+	free  int32 // head of the free list, -1 when empty
+}
+
+func newReaderLists() *readerLists { return &readerLists{free: -1} }
+
+// access replays iteration u's access to element es, appending to preds
+// every earlier iteration the access depends on: the last writer (a flow
+// or output edge) and, for a write, every reader since it (anti edges).
+// Same-iteration accesses never create edges (the iteration is the atomic
+// scheduling unit), and a reader is recorded once per iteration. preds
+// comes out in no particular order.
+func (rl *readerLists) access(es *elemState, u int32, write bool, preds []int32) []int32 {
+	if w := es.lastWriter; w >= 0 && w != u {
+		preds = append(preds, w)
+	}
+	head := es.readers
+	if write {
+		if head >= 0 {
+			i := head
+			for {
+				n := &rl.nodes[i]
+				if n.u != u {
+					preds = append(preds, n.u)
+				}
+				if n.next < 0 {
+					n.next = rl.free
+					break
+				}
+				i = n.next
+			}
+			rl.free = head
+		}
+		es.lastWriter, es.readers = u, -1
+		return preds
+	}
+	if head >= 0 && rl.nodes[head].u == u {
+		return preds
+	}
+	i := rl.free
+	if i >= 0 {
+		rl.free = rl.nodes[i].next
+		rl.nodes[i] = readerNode{u: u, next: head}
+	} else {
+		i = int32(len(rl.nodes))
+		rl.nodes = append(rl.nodes, readerNode{u: u, next: head})
+	}
+	es.readers = i
+	return preds
+}
+
+// predBlock is the size, in edges, of the fixed blocks BuildDeps carves
+// predecessor lists from. A list that does not fit the current block's
+// tail starts a fresh block (sized to the list if it is longer), so no
+// block is ever regrown and copied.
+const predBlock = 1 << 14
+
 // BuildDeps replays the program in original order and constructs the exact
-// dependence graph. Same-iteration accesses never create edges (the
-// iteration is the atomic scheduling unit).
+// dependence graph. Every edge found while replaying iteration u targets
+// u, so u's predecessors are gathered as one segment, sorted, deduplicated
+// and carved from a fixed-size block: a handful of allocations per block
+// instead of one append growth per list.
 func (s *Space) BuildDeps() *DepGraph {
 	n := s.total
-	g := &DepGraph{
-		Preds: make([][]int32, n),
-		Succs: make([][]int32, n),
-	}
-	// Per-array element state, allocated lazily per array.
-	states := map[*sema.Array][]elemState{}
-	stateOf := func(a *sema.Array) []elemState {
-		st, ok := states[a]
-		if !ok {
-			st = make([]elemState, a.Elems())
-			for i := range st {
-				st[i].lastWriter = -1
-			}
-			states[a] = st
-		}
-		return st
-	}
-	addEdge := func(from, to int32) {
-		if from < 0 || from == to {
-			return
-		}
-		g.Preds[to] = append(g.Preds[to], from)
-	}
+	g := &DepGraph{Preds: make([][]int32, n)}
+	// Element state by Array.Index, built on an array's first access.
+	states := make([][]elemState, len(s.Prog.Arrays))
+	written := s.writtenArrays()
+	readers := newReaderLists()
+	var block, seg []int32
 	str := s.NewStreamer()
 	var buf []Access
 	for u := 0; u < n; u++ {
 		buf = str.Accesses(u, buf[:0])
+		seg = seg[:0]
 		for _, a := range buf {
-			st := stateOf(a.Array)
-			es := &st[a.Lin]
-			if a.Write {
-				addEdge(es.lastWriter, int32(u)) // output
-				for _, r := range es.readers {   // anti
-					addEdge(r, int32(u))
-				}
-				es.lastWriter = int32(u)
-				es.readers = es.readers[:0]
-			} else {
-				addEdge(es.lastWriter, int32(u)) // flow
-				if m := len(es.readers); m == 0 || es.readers[m-1] != int32(u) {
-					es.readers = append(es.readers, int32(u))
-				}
+			if !written[a.Array.Index] {
+				continue
 			}
+			st := states[a.Array.Index]
+			if st == nil {
+				st = newElemStates(a.Array)
+				states[a.Array.Index] = st
+			}
+			seg = readers.access(&st[a.Lin], int32(u), a.Write, seg)
 		}
-	}
-	// Sort and deduplicate predecessor lists; build successor lists.
-	for u := range g.Preds {
-		ps := g.Preds[u]
-		if len(ps) == 0 {
+		if len(seg) == 0 {
 			continue
 		}
-		slices.Sort(ps)
-		w := 0
-		for i, p := range ps {
-			if i == 0 || p != ps[i-1] {
-				ps[w] = p
-				w++
+		slices.Sort(seg)
+		seg = slices.Compact(seg)
+		if cap(block)-len(block) < len(seg) {
+			block = make([]int32, 0, max(predBlock, len(seg)))
+		}
+		mark := len(block)
+		block = append(block, seg...)
+		g.Preds[u] = block[mark:len(block):len(block)]
+		g.edges += len(seg)
+	}
+	g.buildSuccs()
+	return g
+}
+
+// writtenArrays reports, by Array.Index, which arrays the program writes.
+// Accesses to any other array induce no dependence edges (every element's
+// last writer stays unset, and readers only matter to a later write), so
+// both dependence builds skip them.
+func (s *Space) writtenArrays() []bool {
+	written := make([]bool, len(s.Prog.Arrays))
+	for _, refs := range s.refs {
+		for _, r := range refs {
+			if r.write {
+				written[r.arr.Index] = true
 			}
 		}
-		g.Preds[u] = ps[:w]
-		g.edges += w
-		for _, p := range ps[:w] {
-			g.Succs[p] = append(g.Succs[p], int32(u))
+	}
+	return written
+}
+
+// buildSuccs fills Succs as the transpose of Preds, every list carved from
+// one backing array: out-degrees first, then one fill over ascending u, so
+// each Succs[p] comes out sorted. Both dependence builds end here.
+func (g *DepGraph) buildSuccs() {
+	n := len(g.Preds)
+	g.Succs = make([][]int32, n)
+	// next[p] starts as the offset of p's list in flat and advances as the
+	// list fills, ending at the offset of p+1's.
+	next := make([]int32, n+1)
+	for _, ps := range g.Preds {
+		for _, p := range ps {
+			next[p+1]++
 		}
 	}
-	return g
+	for p := 0; p < n; p++ {
+		next[p+1] += next[p]
+	}
+	flat := make([]int32, g.edges)
+	for u, ps := range g.Preds {
+		for _, p := range ps {
+			flat[next[p]] = int32(u)
+			next[p]++
+		}
+	}
+	start := int32(0)
+	for p := 0; p < n; p++ {
+		if end := next[p]; end > start {
+			g.Succs[p] = flat[start:end:end]
+			start = end
+		}
+	}
 }
 
 // depCrossover is the iteration count below which BuildDepsCtx always
@@ -536,19 +634,20 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 		return s.BuildDeps(), nil
 	}
 
-	// Stage 1: bucket every access by array, preserving global replay
-	// order, on chunked workers. Chunk k's buckets hold the accesses of
-	// iterations [lo_k, hi_k), so concatenating a bucket row across chunks
-	// yields that array's full stream in program order. Per-iteration
-	// access counts are fixed per nest, so every bucket is allocated at
-	// its exact final size up front.
+	// Stage 1: bucket every access to a written array by array, preserving
+	// global replay order, on chunked workers. Chunk k's buckets hold the
+	// accesses of iterations [lo_k, hi_k), so concatenating a bucket row
+	// across chunks yields that array's full stream in program order.
+	// Per-iteration access counts are fixed per nest, so every bucket is
+	// allocated at its exact final size up front.
 	numArrays := len(s.Prog.Arrays)
+	written := s.writtenArrays()
 	chunks := conc.Chunks(n, chunkCount(n, jobs))
 	buckets := make([][][]accessRec, len(chunks))
 	err := conc.ForEach(ctx, len(chunks), jobs, func(_ context.Context, k int) error {
 		bk := make([][]accessRec, numArrays)
 		for ai, sz := range s.bucketSizes(chunks[k][0], chunks[k][1]) {
-			if sz > 0 {
+			if sz > 0 && written[ai] {
 				bk[ai] = make([]accessRec, 0, sz)
 			}
 		}
@@ -558,6 +657,9 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 			buf = str.Accesses(u, buf[:0])
 			for _, a := range buf {
 				ai := a.Array.Index
+				if !written[ai] {
+					continue
+				}
 				bk[ai] = append(bk[ai], accessRec{lin: a.Lin, u: int32(u), write: a.Write})
 			}
 		}
@@ -596,10 +698,7 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 	// locates its [lo, hi) segment of every array's list by binary search
 	// (the lists are sorted by to) and carves the merged lists from one
 	// chunk-local backing array.
-	g := &DepGraph{
-		Preds: make([][]int32, n),
-		Succs: make([][]int32, n),
-	}
+	g := &DepGraph{Preds: make([][]int32, n)}
 	mergeChunks := conc.Chunks(n, chunkCount(n, jobs))
 	edgeCounts := make([]int, len(mergeChunks))
 	err = conc.ForEach(ctx, len(mergeChunks), jobs, func(_ context.Context, k int) error {
@@ -654,66 +753,24 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 		g.edges += c
 	}
 
-	// Stage 4: successor lists. Degrees first, then one ordered fill over
-	// ascending u, so every Succs[p] comes out sorted exactly as the serial
-	// build's append order produces.
-	outdeg := make([]int32, n)
-	for u := range g.Preds {
-		for _, p := range g.Preds[u] {
-			outdeg[p]++
-		}
-	}
-	flat := make([]int32, g.edges)
-	offs := make([]int32, n+1)
-	for p := 0; p < n; p++ {
-		offs[p+1] = offs[p] + outdeg[p]
-	}
-	pos := make([]int32, n)
-	copy(pos, offs[:n])
-	for u := 0; u < n; u++ {
-		for _, p := range g.Preds[u] {
-			flat[pos[p]] = int32(u)
-			pos[p]++
-		}
-	}
-	for p := 0; p < n; p++ {
-		if outdeg[p] > 0 {
-			g.Succs[p] = flat[offs[p]:offs[p+1]:offs[p+1]]
-		}
-	}
+	// Stage 4: successor lists, shared with the serial build.
+	g.buildSuccs()
 	return g, nil
 }
 
 // replayArray replays one array's access stream (already in global program
 // order) against its element states, returning the dependence edges the
-// stream induces. Identical to the inner loop of the serial BuildDeps,
-// restricted to a single array.
+// stream induces. It replays each access with the same readerLists.access
+// as the serial BuildDeps, restricted to a single array.
 func replayArray(a *sema.Array, stream []accessRec) []edge {
-	st := make([]elemState, a.Elems())
-	for i := range st {
-		st[i].lastWriter = -1
-	}
+	st := newElemStates(a)
+	readers := newReaderLists()
 	var edges []edge
-	add := func(from, to int32) {
-		if from < 0 || from == to {
-			return
-		}
-		edges = append(edges, edge{from: from, to: to})
-	}
+	var preds []int32
 	for _, rec := range stream {
-		es := &st[rec.lin]
-		if rec.write {
-			add(es.lastWriter, rec.u)      // output
-			for _, r := range es.readers { // anti
-				add(r, rec.u)
-			}
-			es.lastWriter = rec.u
-			es.readers = es.readers[:0]
-		} else {
-			add(es.lastWriter, rec.u) // flow
-			if m := len(es.readers); m == 0 || es.readers[m-1] != rec.u {
-				es.readers = append(es.readers, rec.u)
-			}
+		preds = readers.access(&st[rec.lin], rec.u, rec.write, preds[:0])
+		for _, p := range preds {
+			edges = append(edges, edge{from: p, to: rec.u})
 		}
 	}
 	return edges

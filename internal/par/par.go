@@ -33,9 +33,19 @@ type Assignment struct {
 	ParallelLevel []int
 }
 
-// Subsets returns, per processor, its iteration ids in program order.
+// Subsets returns, per processor, its iteration ids in program order. The
+// lists are carved from one backing sized by Loads; a processor with no
+// iterations gets a nil list.
 func (a *Assignment) Subsets() [][]int {
 	out := make([][]int, a.Procs)
+	backing := make([]int, len(a.Owner))
+	off := 0
+	for p, l := range a.Loads() {
+		if l > 0 {
+			out[p] = backing[off : off : off+l] // filled in place by the appends below
+			off += l
+		}
+	}
 	for id, p := range a.Owner {
 		out[p] = append(out[p], id)
 	}

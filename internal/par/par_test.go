@@ -367,3 +367,33 @@ nest L { for i = 0 to 95 { for j = 0 to 95 { V[i] = M[i][j] + V[i]; } } }
 		}
 	}
 }
+
+// Subsets lists each processor's ids in program order, carved with
+// cap == len so a caller's append can never overwrite the next processor's
+// list; a processor with no iterations gets nil.
+func TestSubsetsShape(t *testing.T) {
+	r := build(t, fig56Src)
+	n := r.Space.NumIterations()
+	a := &Assignment{Procs: 5, Owner: make([]int, n)}
+	for id := range a.Owner {
+		a.Owner[id] = (id / 7) % 4 // processor 4 owns nothing
+	}
+	subs := a.Subsets()
+	loads := a.Loads()
+	for p, sub := range subs {
+		if loads[p] == 0 {
+			if sub != nil {
+				t.Fatalf("processor %d: empty subset %v is not nil", p, sub)
+			}
+			continue
+		}
+		if len(sub) != loads[p] || cap(sub) != len(sub) {
+			t.Fatalf("processor %d: len %d cap %d, load %d", p, len(sub), cap(sub), loads[p])
+		}
+		for i, id := range sub {
+			if a.Owner[id] != p || (i > 0 && id <= sub[i-1]) {
+				t.Fatalf("processor %d: subset not its ids in program order at %d", p, i)
+			}
+		}
+	}
+}

@@ -543,12 +543,29 @@ func VerifyPhases(space *interp.Space, g *interp.DepGraph, phases []Phase) error
 // NestPhases builds one phase per nest from a per-processor assignment of
 // iteration ids (each inner list already in the desired execution order).
 // perProcOrders[p] holds processor p's full iteration order; iterations are
-// split into phases by their nest, preserving relative order.
+// split into phases by their nest, preserving relative order. The lists are
+// counted first and carved from one backing; an empty list is nil.
 func NestPhases(space *interp.Space, perProcOrders [][]int, numNests int) []Phase {
 	phases := make([]Phase, numNests)
 	procs := len(perProcOrders)
+	counts := make([]int, numNests*procs) // counts[k*procs+p]
+	total := 0
+	for p, order := range perProcOrders {
+		for _, id := range order {
+			counts[space.Nest(id)*procs+p]++
+		}
+		total += len(order)
+	}
+	backing := make([]int, total)
+	off := 0
 	for k := range phases {
 		phases[k].PerProc = make([][]int, procs)
+		for p, c := range counts[k*procs : (k+1)*procs] {
+			if c > 0 {
+				phases[k].PerProc[p] = backing[off : off : off+c] // filled in place below
+				off += c
+			}
+		}
 	}
 	for p, order := range perProcOrders {
 		for _, id := range order {

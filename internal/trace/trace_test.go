@@ -539,3 +539,44 @@ func TestProcStreams(t *testing.T) {
 		t.Errorf("empty trace: ids=%v per=%v", ids, per)
 	}
 }
+
+// NestPhases splits each processor's order by nest, preserving relative
+// order, with lists carved cap == len (an append can never overwrite a
+// neighbour) and nil where a processor has no iterations in a nest.
+func TestNestPhasesShape(t *testing.T) {
+	r := build(t, `
+array A[1024] stripe(unit=4K, factor=2, start=0)
+nest L1 { for i = 0 to 1023 { A[i] = A[i]; } }
+nest L2 { for i = 0 to 511 { read A[i]; } }
+nest L3 { for i = 0 to 255 { read A[i]; } }
+`)
+	n := r.Space.NumIterations()
+	// Processor 0 runs L1 backwards and all of L3; processor 1 runs L2;
+	// processor 2 runs nothing.
+	perProc := make([][]int, 3)
+	for id := 1023; id >= 0; id-- {
+		perProc[0] = append(perProc[0], id)
+	}
+	for id := 1024; id < 1536; id++ {
+		perProc[1] = append(perProc[1], id)
+	}
+	for id := 1536; id < n; id++ {
+		perProc[0] = append(perProc[0], id)
+	}
+	phases := NestPhases(r.Space, perProc, len(r.Prog.Nests))
+	want := [][][]int{
+		{perProc[0][:1024], nil, nil},
+		{nil, perProc[1], nil},
+		{perProc[0][1024:], nil, nil},
+	}
+	for k, ph := range phases {
+		for p, ids := range ph.PerProc {
+			if !reflect.DeepEqual(ids, want[k][p]) { // DeepEqual tells nil from empty
+				t.Fatalf("phase %d proc %d: %d ids, want %d", k, p, len(ids), len(want[k][p]))
+			}
+			if cap(ids) != len(ids) {
+				t.Fatalf("phase %d proc %d: len %d cap %d", k, p, len(ids), cap(ids))
+			}
+		}
+	}
+}
