@@ -36,8 +36,6 @@ type Layout struct {
 	Extents  []Extent
 	numDisks int
 	totalLen int64
-
-	byArray map[*sema.Array]int
 }
 
 // New builds the layout for prog. It validates the divisibility constraints
@@ -49,10 +47,7 @@ func New(prog *sema.Program, pageSize int64) (*Layout, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	l := &Layout{
-		PageSize: pageSize,
-		byArray:  make(map[*sema.Array]int, len(prog.Arrays)),
-	}
+	l := &Layout{PageSize: pageSize}
 	var base int64
 	for _, a := range prog.Arrays {
 		s := a.Stripe
@@ -69,7 +64,6 @@ func New(prog *sema.Program, pageSize int64) (*Layout, error) {
 		if rem := base % s.Unit; rem != 0 {
 			base += s.Unit - rem
 		}
-		l.byArray[a] = len(l.Extents)
 		l.Extents = append(l.Extents, Extent{Array: a, Base: base})
 		base += a.Bytes()
 		if end := s.Start + s.Factor; end > l.numDisks {
@@ -89,13 +83,14 @@ func (l *Layout) NumDisks() int { return l.numDisks }
 // TotalBytes returns the extent of the global logical byte space.
 func (l *Layout) TotalBytes() int64 { return l.totalLen }
 
-// extentOf returns the extent record for array a.
+// extentOf returns the extent record for array a. Extents are built in
+// Program.Arrays order, so a's extent is Extents[a.Index]; comparing the
+// extent's array pointer rejects an array of another program.
 func (l *Layout) extentOf(a *sema.Array) (Extent, error) {
-	i, ok := l.byArray[a]
-	if !ok {
+	if a.Index < 0 || a.Index >= len(l.Extents) || l.Extents[a.Index].Array != a {
 		return Extent{}, fmt.Errorf("layout: array %s not in layout", a.Name)
 	}
-	return l.Extents[i], nil
+	return l.Extents[a.Index], nil
 }
 
 // ElemByte returns the global byte offset of element lin of array a.

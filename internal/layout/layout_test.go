@@ -282,3 +282,29 @@ func itoa64(n int64) string {
 	}
 	return string(buf[i:])
 }
+
+// TestForeignArrayRejected pins extentOf's validation: an array of another
+// program — same name, same Index, same shape — is not in the layout, and
+// ElemByte, ElemDisk and ElemPage all reject it with the same error text.
+// An array whose Index lies past the extents is rejected the same way.
+func TestForeignArrayRejected(t *testing.T) {
+	l, err := New(analyze(t, twoArraySrc), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := analyze(t, twoArraySrc)
+	past := *other.Array("U2")
+	past.Index = len(l.Extents)
+	for _, a := range []*sema.Array{other.Array("U1"), other.Array("U2"), &past} {
+		want := "layout: array " + a.Name + " not in layout"
+		if _, err := l.ElemByte(a, 0); err == nil || err.Error() != want {
+			t.Errorf("ElemByte(%s, index %d) error %v, want %q", a.Name, a.Index, err, want)
+		}
+		if _, err := l.ElemDisk(a, 0); err == nil || err.Error() != want {
+			t.Errorf("ElemDisk(%s, index %d) error %v, want %q", a.Name, a.Index, err, want)
+		}
+		if _, err := l.ElemPage(a, 0); err == nil || err.Error() != want {
+			t.Errorf("ElemPage(%s, index %d) error %v, want %q", a.Name, a.Index, err, want)
+		}
+	}
+}

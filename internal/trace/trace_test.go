@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -363,8 +364,9 @@ func TestGenerateErrors(t *testing.T) {
 // merge to the stable arrival sort it stands in for, on runs of
 // non-decreasing arrivals: empty and single runs, all-equal arrivals,
 // heavy ties across runs and a processor count far above the paper's.
-// One merger serves every case, so stale buffers from a larger phase
-// would show.
+// Each run sits after an earlier phase's requests in its processor's
+// chunked log, and some runs span several chunks. One merger serves every
+// case, so stale buffers from a larger phase would show.
 func TestRunMergerMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ties := func() float64 { return float64(rng.Intn(2)) }
@@ -383,30 +385,44 @@ func TestRunMergerMatchesStableSort(t *testing.T) {
 		{"no runs", nil, ties},
 		{"all empty", []int{0, 0, 0}, ties},
 		{"one run", []int{50}, ties},
+		{"one run across chunks", []int{2*chunkLen + 7}, ties},
 		{"one non-empty of many", []int{0, 0, 40, 0}, ties},
 		{"all equal arrivals", []int{7, 3, 0, 9, 5}, same},
 		{"two runs", []int{30, 45}, ties},
 		{"three runs, one empty", []int{20, 0, 33}, ties},
 		{"four runs", []int{64, 64, 64, 64}, ties},
 		{"four runs, few ties", []int{64, 10, 64, 1}, frac},
+		{"runs across chunks", []int{chunkLen + 3, 5, 3 * chunkLen, 0}, ties},
 	}
 	var m runMerger
 	for _, tc := range cases {
 		var phase []Request
-		ends := make([]int, len(tc.lens))
+		logs := make([]reqLog, len(tc.lens))
+		lo := make([]int, len(tc.lens))
+		hi := make([]int, len(tc.lens))
 		for k, n := range tc.lens {
+			// An earlier phase's requests, which the merge must skip.
+			for i := rng.Intn(chunkLen + 2); i > 0; i-- {
+				logs[k].push(Request{Arrival: -1, Block: -1, Proc: k})
+			}
+			lo[k] = logs[k].n
 			at := 0.0
 			for i := 0; i < n; i++ {
 				at += tc.step()
-				phase = append(phase, Request{Arrival: at, Block: int64(len(phase)), Proc: k})
+				r := Request{Arrival: at, Block: int64(len(phase)), Proc: k}
+				phase = append(phase, r)
+				logs[k].push(r)
 			}
-			ends[k] = len(phase)
+			hi[k] = logs[k].n
 		}
 		want := append([]Request(nil), phase...)
 		SortByArrival(want)
-		m.merge(phase, ends)
-		if !reflect.DeepEqual(phase, want) {
-			t.Errorf("%s: merge = %v, stable sort = %v", tc.name, phase, want)
+		got := make([]Request, len(phase))
+		if n := m.merge(got, logs, lo, hi); n != len(phase) {
+			t.Errorf("%s: merge wrote %d requests, want %d", tc.name, n, len(phase))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: merge = %v, stable sort = %v", tc.name, got, want)
 		}
 	}
 }
