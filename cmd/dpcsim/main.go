@@ -312,10 +312,10 @@ func run(o options) (err error) {
 			}
 		}
 	} else {
-		// The trace is prepared once — sorted, disk-attributed, carved per
-		// disk — and shared read-only; each policy's simulation is
-		// independent, so they fan out over the pool and the reports print in
-		// the order the policies were given.
+		// The trace is prepared once — sorted and disk-attributed — and
+		// shared read-only; each policy's simulation is independent, so
+		// they fan out over the pool and the reports print in the order
+		// the policies were given.
 		sp := tr.Start("prepare-trace", "pipeline")
 		pt, perr := sim.PrepareTrace(reqs, diskOf, o.disks)
 		sp.End()
